@@ -1,26 +1,26 @@
 //! Stored-baseline blessing and gating.
 //!
 //! The reproduction's central artefacts — the traced-run report, the
-//! autotuned WP-area manifest, the chaos-campaign resilience manifest
-//! and the obs-report reconciliation manifest — must stay stable as
-//! the simulator grows: silent drift in
-//! any scheme's counters invalidates every number the paper comparison
-//! rests on. This module freezes them:
+//! autotuned WP-area manifest, the chaos-campaign resilience manifest,
+//! the obs-report reconciliation manifest, the layout competition and
+//! the fetch-core throughput manifest — must stay stable as the
+//! simulator grows: silent drift in any scheme's counters invalidates
+//! every number the paper comparison rests on. This module freezes
+//! them. Both sides get their manifests from one producer,
+//! [`campaign::run`] over the baseline groups:
 //!
-//! * [`bless`] runs the trace-report and tuned-areas pipelines and
-//!   writes **canonical** manifests (deterministic: no wall-clock
-//!   fields, no environment-dependent paths, with a provenance header
-//!   recording grid/tolerance/input set) into a baselines directory
-//!   that is committed to the repository;
-//! * [`gate`] re-runs the same pipelines into a scratch directory and
-//!   drives [`wp_tune::diff`] against the blessed copies, flagging any
-//!   fetch/energy shift past the gates and any structural mismatch
-//!   (missing run, changed grid, renamed chain).
+//! * [`bless`] writes the campaign's **canonical** payloads
+//!   (deterministic: no wall-clock fields outside the perf manifest, no
+//!   environment-dependent paths, with a provenance header recording
+//!   grid/tolerance/input set/task key) into a baselines directory that
+//!   is committed to the repository;
+//! * [`gate`] diffs fresh payloads against the blessed copies with
+//!   [`wp_tune::diff`], flagging any fetch/energy shift past the gates
+//!   and any structural mismatch (missing run, changed grid, renamed
+//!   chain). A warm store serves every fresh manifest as a hit.
 //!
 //! The `bless` and `gate` binaries are thin wrappers; the library
-//! entry points keep the whole round trip testable in-process, where
-//! the engine's memoised workbenches make a quick bless/gate cycle
-//! cheap.
+//! entry points keep the whole round trip testable in-process.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -31,38 +31,34 @@ use wp_energy::CacheEnergyModel;
 use wp_mem::{CacheGeometry, FetchStats};
 use wp_obs::Obs;
 use wp_trace::{ChainAttribution, TraceRecorder};
-use wp_tune::{DiffThresholds, TraceDiff, TraceSet, TuneError, DEFAULT_TOLERANCE};
+use wp_tune::{DiffThresholds, TraceDiff, TraceSet, TuneError};
 use wp_workloads::{Benchmark, InputSet};
 
-use crate::autotune::tune_suite;
+use crate::campaign::{self, CampaignConfig, Group};
 use crate::engine::Engine;
-use crate::perf;
-use crate::{Json, FIGURE5_AREAS};
+use crate::Json;
 
 /// Schema tag the blessed trace-report baseline carries.
 pub const BASELINE_SCHEMA: &str = "baseline/v1";
 /// The default committed baselines directory, relative to the repo
 /// root (where CI runs).
 pub const DEFAULT_BASELINE_DIR: &str = "baselines";
-/// The **byte-deterministic** manifests a baseline set consists of, in
-/// bless/gate order. Two bless runs over the same tree produce these
-/// byte-identically.
-pub const BASELINE_FILES: [&str; 5] = [
-    "BENCH_trace_report.json",
-    "BENCH_tuned_areas.json",
-    "BENCH_chaos_campaign.json",
-    "BENCH_obs_report.json",
-    "BENCH_layout_compare.json",
-];
-/// The wall-clock fetch-core throughput manifest blessed *alongside*
-/// the canonical pair. Deliberately not in [`BASELINE_FILES`]:
-/// throughput is measured, not derived, so byte-identity cannot apply;
-/// the gate diffs it under [`perf_thresholds`] instead.
-pub const PERF_BASELINE_FILE: &str = "BENCH_perf_fetch.json";
+/// The **byte-deterministic** baseline groups, in bless/gate order:
+/// [`Group::BASELINE`] without the wall-clock perf manifest. Two bless
+/// runs over the same tree produce these byte-identically, so a test
+/// that asserts a clean gate blesses and gates exactly these.
+pub const DETERMINISTIC_GROUPS: [Group; 5] =
+    [Group::Trace, Group::Tune, Group::Chaos, Group::Obs, Group::LayoutCompare];
 /// Hottest chains recorded per traced run (mirrors `trace_report`).
 pub const TOP_K: usize = 5;
 /// Relative tolerance when reconciling per-chain picojoule sums.
 const ENERGY_REL_TOL: f64 = 1e-6;
+
+/// The `BENCH_<name>.json` file a baseline group is blessed to.
+#[must_use]
+pub fn baseline_file(group: Group) -> String {
+    format!("BENCH_{}.json", group.manifest_name())
+}
 
 /// The traced-run matrix of the trace-report pipeline: quick is the
 /// CI smoke shape (one benchmark, small inputs), full is the shape
@@ -132,19 +128,9 @@ pub fn hot_chains_json(
 /// (wall-clock spans, sink overhead, ring/interval bookkeeping).
 /// Reconciliation failures are hard errors — a baseline whose chain
 /// sums disagree with the hardware counters must never be blessed.
-fn canonical_run(
-    benchmark: Benchmark,
-    icache: CacheGeometry,
-    scheme: Scheme,
-    set: InputSet,
-) -> Result<Json, TuneError> {
-    canonical_run_on(Engine::global(), benchmark, icache, scheme, set)
-}
-
-/// [`canonical_run`] on an explicit engine, so a campaign trace-run
-/// node executes on the campaign's own pool (with its retry policy and
-/// armed [`wp_obs::Obs`]) instead of the process-global engine.
-pub(crate) fn canonical_run_on(
+/// Runs on the campaign's engine, with its retry policy and armed
+/// [`wp_obs::Obs`].
+pub(crate) fn canonical_run(
     engine: &Engine,
     benchmark: Benchmark,
     icache: CacheGeometry,
@@ -205,17 +191,15 @@ pub(crate) fn input_set_name(set: InputSet) -> &'static str {
 }
 
 /// The two way-aware schemes every trace-report run covers, in manifest
-/// order. Shared with the campaign planner so its per-run task keys
-/// describe exactly the runs [`build_trace_baseline`] performs.
+/// order. Shared by the campaign planner's per-run nodes and task keys.
 #[must_use]
 pub fn trace_schemes() -> [Scheme; 2] {
     [Scheme::WayPlacement { area_bytes: 32 * 1024 }, Scheme::WayMemoization]
 }
 
 /// Assembles the trace-report baseline manifest from already-rendered
-/// canonical run objects. Split from [`build_trace_baseline`] so a
-/// campaign manifest node can build byte-identical output from stored
-/// run payloads without re-simulating; `task_key` lands in the
+/// canonical run objects, so the campaign manifest node builds it from
+/// stored run payloads without re-simulating; `task_key` lands in the
 /// provenance block (display-only — the diff gate never joins on it).
 #[must_use]
 pub fn trace_manifest_from_runs(quick: bool, runs: Vec<Json>, task_key: &TaskKey) -> Json {
@@ -241,47 +225,6 @@ pub fn trace_manifest_from_runs(quick: bool, runs: Vec<Json>, task_key: &TaskKey
     ])
 }
 
-/// Builds the canonical trace-report baseline: both way-aware schemes
-/// over the trace-report benchmark matrix, counters and per-chain
-/// energies only. Byte-deterministic for a fixed `quick` flag.
-///
-/// # Errors
-///
-/// [`TuneError::Measure`] wrapping any pipeline failure or
-/// reconciliation mismatch.
-pub fn build_trace_baseline(quick: bool) -> Result<Json, TuneError> {
-    let icache = CacheGeometry::xscale_icache();
-    let (benchmarks, set) = trace_benchmarks(quick);
-    let schemes = trace_schemes();
-    let mut runs = Vec::with_capacity(benchmarks.len() * schemes.len());
-    for &benchmark in benchmarks {
-        for &scheme in &schemes {
-            runs.push(canonical_run(benchmark, icache, scheme, set)?);
-        }
-    }
-    let task_key =
-        crate::campaign::keys::trace_manifest(quick, &crate::campaign::InputTags::default());
-    Ok(trace_manifest_from_runs(quick, runs, &task_key))
-}
-
-/// Builds the canonical tuned-areas baseline: [`tune_suite`] over the
-/// figure-5 grid — the whole 23-benchmark suite in full mode — with a
-/// `quick` provenance marker. The `tuned_areas/v1` schema already
-/// records grid, tolerance, geometry and input set, so the blessed
-/// copy stays directly consumable by `fig5 --areas`.
-///
-/// # Errors
-///
-/// Everything [`tune_suite`] raises.
-pub fn build_tuned_baseline(quick: bool) -> Result<Json, TuneError> {
-    let (benchmarks, set) = tuned_benchmarks(quick);
-    let icache = CacheGeometry::xscale_icache();
-    let (_, mut manifest) =
-        tune_suite(&benchmarks, icache, &FIGURE5_AREAS, DEFAULT_TOLERANCE, set)?;
-    manifest.push("quick", Json::from(quick));
-    Ok(manifest)
-}
-
 /// Gates for the throughput manifest: deliberately generous, because
 /// the Mfetch/s columns are wall-clock (they shift with the host),
 /// while the speedup-vs-reference column (the energy metric slot) is
@@ -292,36 +235,67 @@ pub fn perf_thresholds() -> DiffThresholds {
     DiffThresholds { rel: 0.75, abs_fetches: 5.0, abs_energy: 1.0 }
 }
 
-/// Runs all six pipelines and writes their manifests into `dir`
-/// (created if missing), returning the written paths: the
-/// byte-deterministic [`BASELINE_FILES`] in order, then
-/// [`PERF_BASELINE_FILE`].
+/// Runs `groups` (baseline groups, e.g. [`Group::BASELINE`]) through
+/// [`campaign::run`] against `store` and returns each group's manifest
+/// payload, in `groups` order.
 ///
 /// # Errors
 ///
-/// [`TuneError::Io`] on write failure, plus any pipeline failure —
-/// including the perf tripwire, which refuses to bless a throughput
-/// number from fetch cores that disagree, the chaos campaign, which
-/// refuses to bless a tree whose resilience invariants fail, and the
-/// obs_report pipeline, which refuses to bless a tree whose metrics do
-/// not reconcile with ground truth.
-pub fn bless(dir: &Path, quick: bool) -> Result<Vec<PathBuf>, TuneError> {
-    let trace = build_trace_baseline(quick)?;
-    let tuned = build_tuned_baseline(quick)?;
-    let chaos = crate::chaos::build_chaos_baseline(quick)
-        .map_err(|message| pipeline_error("chaos_campaign", &message))?;
-    let obs = crate::obs::build_obs_baseline(quick)
-        .map_err(|message| pipeline_error("obs_report", &message))?;
-    let layout = crate::layout_compare::build_layout_baseline(quick)?;
-    let perf = perf::measure(quick)
-        .map_err(|message| pipeline_error("perf_fetch", &message))?
-        .json();
+/// [`TuneError::Measure`] naming every failed node.
+fn fresh_manifests(
+    store: &Store,
+    groups: &[Group],
+    quick: bool,
+    obs: Option<&Arc<Obs>>,
+) -> Result<Vec<(Group, Vec<u8>)>, TuneError> {
+    let run = campaign::run(&CampaignConfig::new(quick, groups.to_vec()), store, obs);
+    if !run.report.ok() {
+        let failures: Vec<String> = run
+            .report
+            .failures()
+            .iter()
+            .map(|(label, error)| format!("{label}: {error}"))
+            .collect();
+        return Err(TuneError::Measure {
+            message: format!("campaign pipelines failed: {}", failures.join("; ")),
+        });
+    }
+    groups
+        .iter()
+        .map(|&group| {
+            let bytes = run.manifest(group).ok_or_else(|| TuneError::Measure {
+                message: format!("campaign produced no payload for {}", baseline_file(group)),
+            })?;
+            Ok((group, bytes.to_vec()))
+        })
+        .collect()
+}
+
+/// Runs the `groups` pipelines through the campaign store and writes
+/// their manifests into `dir` (created if missing), returning the
+/// written paths in `groups` order. Pass a cold store: a warm one
+/// re-blesses whatever payloads it already holds.
+///
+/// # Errors
+///
+/// [`TuneError::Io`] on write failure, plus [`TuneError::Measure`]
+/// naming every failed pipeline node — including the perf tripwire,
+/// which refuses a throughput number from fetch cores that disagree,
+/// the chaos campaign, which refuses a tree whose resilience
+/// invariants fail, and the obs_report pipeline, which refuses a tree
+/// whose metrics do not reconcile with ground truth.
+pub fn bless(
+    dir: &Path,
+    store: &Store,
+    groups: &[Group],
+    quick: bool,
+) -> Result<Vec<PathBuf>, TuneError> {
+    let manifests = fresh_manifests(store, groups, quick, None)?;
     std::fs::create_dir_all(dir).map_err(|e| TuneError::io(dir, &e))?;
-    let mut paths = Vec::with_capacity(BASELINE_FILES.len() + 1);
-    let names = BASELINE_FILES.iter().copied().chain([PERF_BASELINE_FILE]);
-    for (name, manifest) in names.zip([&trace, &tuned, &chaos, &obs, &layout, &perf]) {
-        let path = dir.join(name);
-        std::fs::write(&path, manifest.to_pretty()).map_err(|e| TuneError::io(&path, &e))?;
+    let mut paths = Vec::with_capacity(manifests.len());
+    for (group, bytes) in manifests {
+        let path = dir.join(baseline_file(group));
+        std::fs::write(&path, bytes).map_err(|e| TuneError::io(&path, &e))?;
         paths.push(path);
     }
     Ok(paths)
@@ -333,10 +307,8 @@ pub fn bless(dir: &Path, quick: bool) -> Result<Vec<PathBuf>, TuneError> {
 pub struct GateReport {
     /// The blessed (baseline) directory.
     pub blessed_dir: PathBuf,
-    /// The scratch directory the fresh manifests were written to.
-    pub fresh_dir: PathBuf,
-    /// Per-manifest comparisons: [`BASELINE_FILES`] in order, then
-    /// [`PERF_BASELINE_FILE`] under [`perf_thresholds`].
+    /// Per-manifest comparisons, in the gated groups' order; the perf
+    /// manifest diffs under [`perf_thresholds`].
     pub diffs: Vec<(String, TraceDiff)>,
 }
 
@@ -381,98 +353,46 @@ impl GateReport {
     }
 }
 
-/// Re-runs both pipelines into `fresh_dir` and diffs every blessed
-/// manifest in `blessed_dir` against its fresh counterpart. The caller
-/// owns both directories (and the decision to delete the scratch one).
+/// Produces fresh `groups` manifests with [`campaign::run`] against
+/// `store` and diffs each against its blessed copy in `blessed_dir`:
+/// the perf manifest under [`perf_thresholds`], every other one under
+/// `thresholds`. A warm store (e.g. right after a bless into the same
+/// store) serves every manifest as a pure hit; a cold one re-runs the
+/// pipelines. `obs`, when armed, receives the campaign's store hit/miss
+/// counters and the engine metrics.
 ///
 /// # Errors
 ///
 /// [`TuneError::Io`] / [`TuneError::Json`] / [`TuneError::Malformed`]
 /// when a blessed manifest is missing or unreadable, plus any pipeline
-/// failure during the re-run. Regressions are *not* errors — they are
-/// reported through [`GateReport::regressions`].
+/// failure inside the campaign run (reported with the failing node
+/// labels, as in [`bless`]). Regressions are *not* errors —
+/// they are reported through [`GateReport::regressions`].
 pub fn gate(
     blessed_dir: &Path,
-    fresh_dir: &Path,
-    quick: bool,
-    thresholds: DiffThresholds,
-) -> Result<GateReport, TuneError> {
-    bless(fresh_dir, quick)?;
-    let mut diffs = Vec::with_capacity(BASELINE_FILES.len() + 1);
-    let gates = BASELINE_FILES
-        .iter()
-        .copied()
-        .map(|name| (name, thresholds))
-        .chain([(PERF_BASELINE_FILE, perf_thresholds())]);
-    for (name, gates) in gates {
-        let blessed = TraceSet::load(&blessed_dir.join(name))?;
-        let fresh = TraceSet::load(&fresh_dir.join(name))?;
-        diffs.push((name.to_string(), TraceDiff::compute(&blessed, &fresh, gates)));
-    }
-    Ok(GateReport {
-        blessed_dir: blessed_dir.to_path_buf(),
-        fresh_dir: fresh_dir.to_path_buf(),
-        diffs,
-    })
-}
-
-/// [`gate`] with the fresh side produced through the campaign store
-/// instead of a temp-dir re-simulation: the six baseline pipelines run
-/// as a content-addressed DAG rooted at `store`, so a warm store (e.g.
-/// right after a clean bless through the campaign) serves every
-/// manifest as a pure hit and the gate costs seconds, while a cold
-/// store computes exactly what [`gate`] would have. The diffed bytes
-/// are identical either way.
-///
-/// # Errors
-///
-/// Blessed-manifest load failures, plus any pipeline failure inside the
-/// campaign run (reported with the failing node labels). Regressions
-/// are *not* errors.
-pub fn gate_via_store(
-    blessed_dir: &Path,
     store: &Store,
+    groups: &[Group],
     quick: bool,
     thresholds: DiffThresholds,
     obs: Option<&Arc<Obs>>,
 ) -> Result<GateReport, TuneError> {
-    use crate::campaign::{self, Group};
-
-    let config = campaign::CampaignConfig::new(quick, Group::BASELINE.to_vec());
-    let run = campaign::run(&config, store, obs);
-    if !run.report.ok() {
-        let failures: Vec<String> = run
-            .report
-            .failures()
-            .iter()
-            .map(|(label, error)| format!("{label}: {error}"))
-            .collect();
-        return Err(TuneError::Measure {
-            message: format!("campaign pipelines failed: {}", failures.join("; ")),
-        });
-    }
-
-    let mut diffs = Vec::with_capacity(BASELINE_FILES.len() + 1);
-    let gates = [Group::Trace, Group::Tune, Group::Chaos, Group::Obs, Group::LayoutCompare]
-        .into_iter()
-        .map(|group| (group, thresholds))
-        .chain([(Group::Perf, perf_thresholds())]);
-    for (group, gates) in gates {
-        let name = format!("BENCH_{}.json", group.manifest_name());
-        let blessed = TraceSet::load(&blessed_dir.join(&name))?;
-        let bytes = run.manifest(group).ok_or_else(|| TuneError::Measure {
-            message: format!("campaign produced no payload for {name}"),
-        })?;
-        let text = String::from_utf8(bytes.to_vec()).map_err(|e| TuneError::Measure {
+    // Load every blessed copy first: a missing baseline is an
+    // invocation problem and must not cost a campaign run.
+    let blessed: Vec<TraceSet> = groups
+        .iter()
+        .map(|&group| TraceSet::load(&blessed_dir.join(baseline_file(group))))
+        .collect::<Result<_, _>>()?;
+    let mut diffs = Vec::with_capacity(groups.len());
+    for ((group, bytes), blessed) in
+        fresh_manifests(store, groups, quick, obs)?.into_iter().zip(blessed)
+    {
+        let name = baseline_file(group);
+        let text = String::from_utf8(bytes).map_err(|e| TuneError::Measure {
             message: format!("{name}: stored payload is not UTF-8: {e}"),
         })?;
-        let stem = name.trim_start_matches("BENCH_").trim_end_matches(".json").to_string();
-        let fresh = TraceSet::parse(&text, &format!("store:{name}"), &stem)?;
+        let fresh = TraceSet::parse(&text, &format!("store:{name}"), group.manifest_name())?;
+        let gates = if group == Group::Perf { perf_thresholds() } else { thresholds };
         diffs.push((name, TraceDiff::compute(&blessed, &fresh, gates)));
     }
-    Ok(GateReport {
-        blessed_dir: blessed_dir.to_path_buf(),
-        fresh_dir: store.root().to_path_buf(),
-        diffs,
-    })
+    Ok(GateReport { blessed_dir: blessed_dir.to_path_buf(), diffs })
 }

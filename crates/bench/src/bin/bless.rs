@@ -1,11 +1,14 @@
 //! `bless` — write canonical stored baselines.
 //!
-//! Runs the trace-report and tuned-areas pipelines and writes their
+//! Runs the six baseline pipelines as one campaign (`campaign::run`
+//! over the baseline groups) on a scratch store and writes their
 //! canonical, deterministic manifests into the baselines directory
 //! (default `baselines/`, the copy committed to the repository). Run
 //! it after an *intentional* change to the simulator, energy model or
 //! layout shifts the numbers, then commit the refreshed manifests; the
 //! `gate` binary fails CI on any drift against them in the meantime.
+//! The scratch store is always cold, so a bless never re-publishes
+//! payloads computed by an older tree.
 //!
 //! Usage: `bless [--quick] [--dir DIR]`
 //!
@@ -19,6 +22,8 @@
 use std::path::PathBuf;
 
 use wp_bench::baseline::{bless, DEFAULT_BASELINE_DIR};
+use wp_bench::campaign::Group;
+use wp_campaign::Store;
 
 fn usage() -> ! {
     eprintln!("usage: bless [--quick] [--dir DIR]");
@@ -38,7 +43,10 @@ fn main() {
         }
     }
 
-    match bless(&dir, quick) {
+    let scratch = std::env::temp_dir().join(format!("wp-bless-{}", std::process::id()));
+    let blessed = bless(&dir, &Store::new(&scratch), &Group::BASELINE, quick);
+    let _ = std::fs::remove_dir_all(&scratch);
+    match blessed {
         Ok(paths) => {
             for path in paths {
                 println!("blessed: {}", path.display());

@@ -4,7 +4,7 @@
 //! checks in the fetch core, priced recovery, and the degradation
 //! controller — and soaks it under an escalating hardware fault ladder
 //! (0 / 1k / 10k / 100k ppm) across the benchmark suite, with a seeded
-//! mid-run kill + torn-checkpoint resume drill riding along. Fails
+//! kill + torn-store-entry resume drill riding along. Fails
 //! (exit 1) when any resilience invariant breaks:
 //!
 //! * a silent architectural corruption at any rate;
@@ -12,7 +12,7 @@
 //!   controller never reacted to;
 //! * armed-but-clean detection overhead past 5% of the unarmed twin;
 //! * a kill/resume drill that does not reproduce the uninterrupted
-//!   report byte for byte.
+//!   suite byte for byte.
 //!
 //!   chaos_campaign [--quick]
 //!
@@ -27,7 +27,8 @@ use wp_core::FaultOutcome;
 
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
-    let outcome = run_campaign(quick);
+    let engine = Engine::new();
+    let outcome = run_campaign(&engine, quick);
     let (graceful, detected, silent) = outcome.outcome_counts();
 
     println!(
@@ -98,13 +99,13 @@ fn main() {
     if !outcome.failed() {
         println!("invariants hold: every energy-burning fault was detected or degraded away,");
         println!("no run corrupted architectural state, detection rides within its energy");
-        println!("budget, and a torn-checkpoint kill resumes to a byte-identical report.");
+        println!("budget, and a killed store-backed run resumes to a byte-identical suite.");
     }
 
     match write_manifest("chaos_campaign", &outcome.manifest()) {
         Ok(path) => eprintln!("manifest: {}", path.display()),
         Err(e) => eprintln!("manifest: failed to write BENCH_chaos_campaign.json: {e}"),
     }
-    eprintln!("{}", Engine::global().stats());
+    eprintln!("{}", engine.stats());
     std::process::exit(i32::from(outcome.failed()));
 }

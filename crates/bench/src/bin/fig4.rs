@@ -7,9 +7,13 @@
 //! Paper shape targets: way-placement ≈ 50% energy on average (vs
 //! ≈ 68% for way-memoization), way-placement wins on every benchmark,
 //! average ED ≈ 0.93 with a couple of benchmarks below 0.9.
+//!
+//! For a run that resumes after an interruption, use
+//! `wp-campaign run --only fig4 --store DIR`: its store keeps one entry
+//! per measured job and writes the same `BENCH_fig4.json`.
 
 use wp_bench::campaign::{keys, provenance_json, InputTags};
-use wp_bench::{finish, mean_ed, mean_energy, run_suite_checkpointed, Experiment, Json};
+use wp_bench::{finish, mean_ed, mean_energy, Engine, Experiment, Json};
 use wp_core::wp_mem::CacheGeometry;
 use wp_core::wp_workloads::Benchmark;
 use wp_core::Scheme;
@@ -18,9 +22,8 @@ fn main() {
     let geom = CacheGeometry::xscale_icache();
     let schemes = [Scheme::WayMemoization, Scheme::WayPlacement { area_bytes: 32 * 1024 }];
     println!("== Figure 4: {geom}, 32KB way-placement area ==");
-    // Checkpointed: an interrupted run resumes from
-    // BENCH_fig4.checkpoint.jsonl, skipping completed jobs.
-    let report = run_suite_checkpointed("fig4", &Benchmark::ALL, geom, &schemes);
+    let experiment = Experiment::new(Benchmark::ALL, [geom], schemes);
+    let report = Engine::global().run(&experiment);
     print!("{}", report.table_for(geom));
     println!();
     println!("paper:   way-memoization ~68.0% energy | way-placement ~50.0% energy, ED ~0.93");
@@ -39,7 +42,6 @@ fn main() {
 
     // The deterministic manifest subset plus the campaign task key:
     // byte-identical to what a warm `wp-campaign run` assembles.
-    let experiment = Experiment::new(Benchmark::ALL, [geom], schemes);
     let key = keys::fig_manifest("fig4", &experiment, &InputTags::default());
     let mut manifest = Json::obj([("figure", Json::from("fig4"))]);
     manifest.push("suite", report.results_json());

@@ -19,13 +19,15 @@
 //! benchmark's sweep-optimal area with the same knee criterion the
 //! tuner used (`wp_tune::knee_index`), and checks every tuned area
 //! lands within one grid step of it, exiting 1 on any miss.
+//!
+//! For a standard-grid sweep that resumes after an interruption, use
+//! `wp-campaign run --only fig5 --store DIR`: its store keeps one entry
+//! per measured job and writes the same `BENCH_fig5.json`.
 
 use std::path::Path;
 
 use wp_bench::campaign::{keys, provenance_json, InputTags};
-use wp_bench::{
-    finish, mean_ed, mean_energy, run_suite_checkpointed, Experiment, Json, FIGURE5_AREAS,
-};
+use wp_bench::{finish, mean_ed, mean_energy, Engine, Experiment, Json, FIGURE5_AREAS};
 use wp_core::wp_mem::CacheGeometry;
 use wp_core::wp_workloads::Benchmark;
 use wp_core::Scheme;
@@ -203,9 +205,8 @@ fn main() {
     let schemes: Vec<Scheme> = std::iter::once(Scheme::WayMemoization)
         .chain(grid.iter().map(|&area_bytes| Scheme::WayPlacement { area_bytes }))
         .collect();
-    // Checkpointed: an interrupted sweep resumes from
-    // BENCH_fig5.checkpoint.jsonl, skipping completed jobs.
-    let report = run_suite_checkpointed("fig5", &benchmarks, geom, &schemes);
+    let experiment = Experiment::new(benchmarks, [geom], schemes);
+    let report = Engine::global().run(&experiment);
     let rows = report.rows_for(geom);
     if !rows.is_empty() {
         println!(
@@ -240,7 +241,6 @@ fn main() {
     manifest.push("suite", report.results_json());
     // The task key of the experiment actually swept (an overridden
     // --areas grid keys differently from the standard campaign node).
-    let experiment = Experiment::new(benchmarks, [geom], schemes);
     let key = keys::fig_manifest("fig5", &experiment, &InputTags::default());
     manifest.push("provenance", provenance_json(&key));
     let code = finish("fig5", &report, &manifest);

@@ -11,11 +11,14 @@
 //! The whole grid is ONE engine experiment (9 geometries x 3 schemes x
 //! all benchmarks): each benchmark is assembled and profiled exactly
 //! once for all nine cache points.
+//!
+//! The grid is the longest sweep. For a run that resumes after an
+//! interruption, use `wp-campaign run --only fig6 --store DIR`: its
+//! store keeps one entry per measured job and writes the same
+//! `BENCH_fig6.json`.
 
 use wp_bench::campaign::{keys, provenance_json, InputTags};
-use wp_bench::{
-    checkpoint_path, figure6_geometries, finish, mean_ed, mean_energy, Engine, Experiment, Json,
-};
+use wp_bench::{figure6_geometries, finish, mean_ed, mean_energy, Engine, Experiment, Json};
 use wp_core::wp_workloads::Benchmark;
 use wp_core::Scheme;
 
@@ -31,9 +34,7 @@ fn main() {
         "cache", "way-memo (E%,ED)", "wp 8KB (E%,ED)", "wp 2KB (E%,ED)"
     );
     let experiment = Experiment::new(Benchmark::ALL, figure6_geometries(), schemes);
-    // The grid is the longest campaign; checkpoint it so an
-    // interrupted run resumes from BENCH_fig6.checkpoint.jsonl.
-    let report = Engine::global().run_checkpointed(&experiment, &checkpoint_path("fig6"));
+    let report = Engine::global().run(&experiment);
 
     let mut best_ed = (f64::INFINITY, String::new());
     for geom in figure6_geometries() {

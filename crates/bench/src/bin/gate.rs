@@ -1,11 +1,11 @@
 //! `gate` — drift gating against stored baselines.
 //!
-//! Re-runs the trace-report and tuned-areas pipelines into a scratch
-//! directory and drives `wp_tune::diff` against the blessed copies in
-//! the baselines directory (default `baselines/`): every counter or
-//! energy shift clearing both the relative gate and the absolute
-//! floor flags, as does any structural mismatch — a missing run, a
-//! changed grid, a renamed chain. The comparison is written to
+//! Produces fresh manifests of the six baseline pipelines with
+//! `campaign::run` and drives `wp_tune::diff` against the blessed
+//! copies in the baselines directory (default `baselines/`): every
+//! counter or energy shift clearing both the relative gate and the
+//! absolute floor flags, as does any structural mismatch — a missing
+//! run, a changed grid, a renamed chain. The comparison is written to
 //! `BENCH_gate.json`.
 //!
 //! Usage: `gate [--quick] [--dir DIR] [--store DIR] [--bless]
@@ -16,12 +16,12 @@
 //! instead of gating — use it after an intentional change, then
 //! commit the result.
 //!
-//! With `--store DIR` (or `$WP_STORE_DIR` set) the fresh side runs
-//! through the wp-campaign content-addressed store instead of a
-//! temp-dir re-simulation: a warm store (e.g. right after a clean
-//! campaign run) serves every manifest as a pure hit and the gate
-//! costs seconds; a cold store computes exactly what the store-less
-//! path would. The diffed bytes are identical either way.
+//! The campaign runs against the store at `--store DIR` (or
+//! `$WP_STORE_DIR`): a warm store (e.g. right after a clean campaign
+//! run) serves every manifest as a pure hit and the gate costs
+//! seconds. With neither set, it runs against a scratch store under a
+//! temporary directory, removed afterwards. `--bless` always runs on a
+//! scratch store, so it never re-blesses payloads of an older tree.
 //!
 //! Exit codes: `0` clean, `1` gated shift, structural regression or
 //! pipeline failure during the re-run, `2` usage or I/O error (a
@@ -32,7 +32,8 @@
 
 use std::path::PathBuf;
 
-use wp_bench::baseline::{bless, gate, gate_via_store, DEFAULT_BASELINE_DIR};
+use wp_bench::baseline::{bless, gate, DEFAULT_BASELINE_DIR};
+use wp_bench::campaign::Group;
 use wp_bench::write_manifest;
 use wp_campaign::Store;
 use wp_tune::{parse_threshold, DiffThresholds, TuneError};
@@ -84,23 +85,23 @@ fn run() -> Result<i32, TuneError> {
         }
     }
 
+    // Scratch store for `--bless` and for a gate with no store set;
+    // removed once it has served its purpose either way.
+    let scratch_dir = std::env::temp_dir().join(format!("wp-gate-{}", std::process::id()));
+    let scratch = Store::new(scratch_dir.join("store"));
     if refresh {
-        for path in bless(&dir, quick)? {
+        let blessed = bless(&dir, &scratch, &Group::BASELINE, quick);
+        let _ = std::fs::remove_dir_all(&scratch_dir);
+        for path in blessed? {
             println!("blessed: {}", path.display());
         }
         return Ok(0);
     }
-
-    let report = if let Some(root) = store_root {
-        eprintln!("gate: fresh side via campaign store at {}", root.display());
-        gate_via_store(&dir, &Store::new(root), quick, thresholds, None)?
-    } else {
-        let fresh_dir = std::env::temp_dir().join(format!("wp-gate-{}", std::process::id()));
-        let report = gate(&dir, &fresh_dir, quick, thresholds);
-        // The scratch manifests have served their purpose either way.
-        let _ = std::fs::remove_dir_all(&fresh_dir);
-        report?
-    };
+    let store = store_root.map_or(scratch, Store::new);
+    eprintln!("gate: fresh side via campaign store at {}", store.root().display());
+    let report = gate(&dir, &store, &Group::BASELINE, quick, thresholds, None);
+    let _ = std::fs::remove_dir_all(&scratch_dir);
+    let report = report?;
 
     for (name, diff) in &report.diffs {
         let flags = diff.regressions();

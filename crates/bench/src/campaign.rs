@@ -446,8 +446,8 @@ impl Group {
     /// The figure/table groups (`run --only fig`).
     pub const FIGURES: [Group; 5] =
         [Group::Fig1, Group::Table1, Group::Fig4, Group::Fig5, Group::Fig6];
-    /// The six blessed-baseline groups, in [`baseline::BASELINE_FILES`]
-    /// + perf order — what the store-backed gate runs.
+    /// The six blessed-baseline groups, in bless/gate order: the five
+    /// byte-deterministic ones, then the wall-clock perf manifest.
     pub const BASELINE: [Group; 6] =
         [Group::Trace, Group::Tune, Group::Chaos, Group::Obs, Group::LayoutCompare, Group::Perf];
 
@@ -714,6 +714,8 @@ fn parse_dep_payloads(ctx: &wp_campaign::TaskCtx<'_>) -> Result<Vec<Json>, Strin
     (0..ctx.dep_count()).map(|i| parse_payload(ctx.dep(i))).collect()
 }
 
+/// One measure node: a single `(benchmark, geometry, scheme, input
+/// set)` engine job whose payload is the suite row it produced.
 fn plan_measure(
     dag: &mut Dag,
     engine: &Arc<Engine>,
@@ -741,33 +743,30 @@ fn plan_measure(
     })
 }
 
-fn plan_fig(
+/// Plans a suite manifest named `fig`: one measure node per job of
+/// `experiment`, plus a manifest node that assembles their rows in
+/// suite order. Every measure node publishes as soon as it finishes, so
+/// an interrupted run resumes from the jobs already in the store (the
+/// chaos kill/resume drill plans its suite through here too).
+pub fn plan_suite(
     dag: &mut Dag,
-    config: &CampaignConfig,
     engine: &Arc<Engine>,
-    group: Group,
+    tags: &InputTags,
+    fig: &'static str,
     experiment: Experiment,
+    areas: Option<Vec<u32>>,
 ) -> TaskId {
     let mut dep_ids = Vec::with_capacity(experiment.job_count());
     for &benchmark in &experiment.benchmarks {
         for &geometry in &experiment.geometries {
             for &scheme in &experiment.schemes {
-                dep_ids.push(plan_measure(
-                    dag,
-                    engine,
-                    benchmark,
-                    geometry,
-                    scheme,
-                    experiment.input_set,
-                    &config.tags,
-                ));
+                let set = experiment.input_set;
+                dep_ids.push(plan_measure(dag, engine, benchmark, geometry, scheme, set, tags));
             }
         }
     }
-    let fig = group.manifest_name();
-    let key = keys::fig_manifest(fig, &experiment, &config.tags);
+    let key = keys::fig_manifest(fig, &experiment, tags);
     let parts = keys::fig_manifest_parts(fig, &experiment);
-    let areas = (group == Group::Fig5).then(|| FIGURE5_AREAS.to_vec());
     add_node(dag, fig.to_string(), &parts, &dep_ids, move |ctx| {
         let rows = parse_dep_payloads(ctx)?;
         let suite = Json::obj([
@@ -797,7 +796,7 @@ fn plan_trace(dag: &mut Dag, config: &CampaignConfig, engine: &Arc<Engine>) -> T
             let label = format!("trace-run/{}/{}", benchmark.name(), scheme.label());
             let engine = Arc::clone(engine);
             dep_ids.push(add_node(dag, label, &parts, &[], move |_| {
-                baseline::canonical_run_on(&engine, benchmark, icache, scheme, set)
+                baseline::canonical_run(&engine, benchmark, icache, scheme, set)
                     .map(|run| run.to_compact().into_bytes())
                     .map_err(|e| e.to_string())
             }));
@@ -926,20 +925,23 @@ pub fn plan(config: &CampaignConfig, engine: &Arc<Engine>) -> Plan {
             }
             Group::Fig4 | Group::Fig5 | Group::Fig6 => {
                 let Some(experiment) = fig_experiment(group, quick) else { continue };
-                plan_fig(&mut dag, config, engine, group, experiment)
+                let areas = (group == Group::Fig5).then(|| FIGURE5_AREAS.to_vec());
+                let fig = group.manifest_name();
+                plan_suite(&mut dag, engine, &config.tags, fig, experiment, areas)
             }
             Group::Trace => plan_trace(&mut dag, config, engine),
             Group::Tune => plan_tune(&mut dag, config, engine),
             Group::LayoutCompare => plan_layout(&mut dag, config, engine),
             Group::Chaos => {
                 let key = keys::chaos(quick, &config.tags);
+                let engine = Arc::clone(engine);
                 add_node(
                     &mut dag,
                     "chaos_campaign".to_string(),
                     &keys::chaos_parts(quick, &config.tags),
                     &[],
                     move |_| {
-                        crate::chaos::build_chaos_baseline_with_key(quick, &key)
+                        crate::chaos::build_chaos_baseline(&engine, quick, &key)
                             .map(|m| m.to_pretty().into_bytes())
                     },
                 )
@@ -952,7 +954,7 @@ pub fn plan(config: &CampaignConfig, engine: &Arc<Engine>) -> Plan {
                     &keys::obs_parts(quick, &config.tags),
                     &[],
                     move |_| {
-                        crate::obs::build_obs_baseline_with_key(quick, &key)
+                        crate::obs::build_obs_baseline(quick, &key)
                             .map(|m| m.to_pretty().into_bytes())
                     },
                 )

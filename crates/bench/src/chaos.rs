@@ -1,13 +1,13 @@
 //! The chaos/soak campaign: detection + degradation under escalating
 //! fault pressure, plus a seeded kill/resume drill.
 //!
-//! The fault campaign (`fault_campaign`) established the paper's §4
-//! *passive* claim: faults inside the way-placement trust boundary
-//! never corrupt architectural state. This campaign exercises the
-//! *active* stack that PR 7 added on top — parity/duplication checks
-//! in the fetch core, priced recovery, and the degradation controller
-//! that walks a faulting machine down the scheme ladder — and holds it
-//! to three falsifiable invariants:
+//! The paper's §4 *passive* claim — faults inside the way-placement
+//! trust boundary never corrupt architectural state — is invariant 1
+//! below, checked on every trial. The campaign also exercises the
+//! *active* stack on top — parity/duplication checks in the fetch
+//! core, priced recovery, and the degradation controller that walks a
+//! faulting machine down the scheme ladder — and holds it to three
+//! falsifiable invariants:
 //!
 //! 1. **No silent corruption**, at any injection rate, ever.
 //! 2. **No undetected energy burn**: a graceful trial that landed
@@ -19,10 +19,10 @@
 //!    (I-cache + recovery checks) stays within
 //!    [`CLEAN_OVERHEAD_LIMIT`] of the unarmed clean twin.
 //!
-//! A seeded kill/resume drill rides along: a checkpointed campaign is
-//! killed at a pseudorandomly chosen job, its checkpoint's final JSONL
-//! line is torn mid-write, and the resumed run must still produce a
-//! report byte-identical to an uninterrupted one.
+//! A seeded kill/resume drill rides along: a store-backed suite run is
+//! killed at a pseudorandomly chosen job, one of the entries it did
+//! publish is torn mid-write, and resuming against the same store must
+//! still produce a suite byte-identical to an uninterrupted one.
 //!
 //! [`build_chaos_baseline`] renders the whole campaign as a
 //! byte-deterministic manifest whose `runs` rows are joinable by
@@ -32,6 +32,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use wp_campaign::{Dag, NullMonitor, Store};
 use wp_core::wp_mem::rng::SplitMix64;
 use wp_core::wp_mem::{CacheGeometry, FaultConfig};
 use wp_core::wp_sim::DegradationPolicy;
@@ -41,6 +42,7 @@ use wp_obs::account::Usage;
 use wp_obs::metrics::Counter;
 use wp_obs::Obs;
 
+use crate::campaign::{keys, plan_suite, InputTags};
 use crate::engine::{Engine, Experiment};
 use crate::Json;
 
@@ -185,7 +187,7 @@ pub struct ChaosOutcome {
     pub errors: Vec<String>,
     /// The kill/resume drill's manifest fragment.
     pub kill_resume: Json,
-    /// Whether the drill resumed to a byte-identical report.
+    /// Whether the drill resumed to a byte-identical suite.
     pub kill_resume_ok: bool,
 }
 
@@ -215,11 +217,11 @@ impl ChaosOutcome {
     /// drift in fetch counts and recovery-inclusive energy per rung.
     #[must_use]
     pub fn manifest(&self) -> Json {
-        let key = crate::campaign::keys::chaos(self.quick, &crate::campaign::InputTags::default());
+        let key = keys::chaos(self.quick, &InputTags::default());
         self.manifest_with_key(&key)
     }
 
-    /// [`CampaignOutcome::manifest`] with an explicit provenance task
+    /// [`ChaosOutcome::manifest`] with an explicit provenance task
     /// key, so the campaign DAG can stamp the key of the node that
     /// produced these bytes.
     #[must_use]
@@ -379,21 +381,15 @@ impl ChaosObs {
     }
 }
 
-/// Runs the full campaign on the process-wide engine: every
-/// `(benchmark, scheme)` pair measures its unarmed clean twin once,
-/// then climbs the rate ladder with detection + degradation armed.
+/// Runs the full campaign on `engine`: every `(benchmark, scheme)` pair
+/// measures its unarmed clean twin once, then climbs the rate ladder
+/// with detection + degradation armed. When the engine carries an
+/// [`Obs`] handle, the campaign journals every classified trial and
+/// ladder transition, bumps the chaos counters, and charges the
+/// `chaos` phase accounts; with observability disarmed the behaviour —
+/// and the manifest — is bit-identical.
 #[must_use]
-pub fn run_campaign(quick: bool) -> ChaosOutcome {
-    run_campaign_on(Engine::global(), quick)
-}
-
-/// [`run_campaign`] on a caller-supplied engine. When the engine
-/// carries an [`Obs`] handle, the campaign journals every classified
-/// trial and ladder transition, bumps the chaos counters, and charges
-/// the `chaos` phase accounts; with observability disarmed the
-/// behaviour — and the manifest — is bit-identical to before.
-#[must_use]
-pub fn run_campaign_on(engine: &Engine, quick: bool) -> ChaosOutcome {
+pub fn run_campaign(engine: &Engine, quick: bool) -> ChaosOutcome {
     let geometry = CacheGeometry::xscale_icache();
     let (benchmarks, set) = chaos_benchmarks(quick);
     let schemes = [Scheme::WayPlacement { area_bytes: 32 * 1024 }, Scheme::WayMemoization];
@@ -474,16 +470,13 @@ pub fn run_campaign_on(engine: &Engine, quick: bool) -> ChaosOutcome {
     // campaigns inside one binary.
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let invocation = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let scratch = std::env::temp_dir()
-        .join(format!("wp-chaos-{}-{invocation}", std::process::id()))
-        .join("kill_resume.jsonl");
+    let scratch =
+        std::env::temp_dir().join(format!("wp-chaos-{}-{invocation}", std::process::id()));
     let (kill_resume, kill_resume_ok) = match kill_resume_drill(0x50AC, &scratch) {
         Ok(json) => (json, true),
         Err(message) => (Json::obj([("error", Json::from(message.as_str()))]), false),
     };
-    if let Some(dir) = scratch.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    let _ = std::fs::remove_dir_all(&scratch);
 
     let outcome = ChaosOutcome {
         quick,
@@ -502,15 +495,18 @@ pub fn run_campaign_on(engine: &Engine, quick: bool) -> ChaosOutcome {
     outcome
 }
 
-/// The seeded kill/resume drill: run a checkpointed mini-campaign, kill
-/// it at a pseudorandomly chosen job, tear the checkpoint's final JSONL
-/// line mid-write, resume, and demand a report byte-identical to an
-/// uninterrupted run. Returns the deterministic manifest fragment.
+/// The seeded kill/resume drill, on campaign stores under `scratch`
+/// (cleared first): plan a four-job suite as the campaign plans its
+/// figures, kill a run of it by failing one seeded job's measure node,
+/// tear one entry the killed run did publish by a seeded number of
+/// bytes, resume against the same store, and demand `jobs - 2` store
+/// hits plus a suite byte-identical to an uninterrupted run on a fresh
+/// store. Returns the deterministic manifest fragment.
 ///
 /// # Errors
 ///
 /// A description of the first step that broke the contract.
-pub fn kill_resume_drill(seed: u64, checkpoint: &Path) -> Result<Json, String> {
+pub fn kill_resume_drill(seed: u64, scratch: &Path) -> Result<Json, String> {
     let mut rng = SplitMix64::new(seed);
     let experiment = Experiment::new(
         [Benchmark::Crc, Benchmark::Sha],
@@ -519,96 +515,97 @@ pub fn kill_resume_drill(seed: u64, checkpoint: &Path) -> Result<Json, String> {
     )
     .with_input_set(InputSet::Small);
     let jobs = experiment.job_count();
-    let _ = std::fs::remove_file(checkpoint);
+    let tags = InputTags::default();
+    let _ = std::fs::remove_dir_all(scratch);
+    let store = Store::new(scratch.join("store"));
 
-    // The uninterrupted reference. Fresh engines throughout: the drill
-    // measures resume behaviour, not the process-wide caches.
-    let reference = Engine::with_workers(2).run(&experiment);
-    if !reference.is_complete() {
-        return Err(format!("reference run failed: {:?}", reference.failures));
-    }
+    // Fresh engines throughout: the drill measures resume behaviour,
+    // not the memo caches of whichever engine runs the campaign.
+    let run = |engine: Engine, store: &Store| {
+        let mut dag = Dag::new();
+        let root =
+            plan_suite(&mut dag, &Arc::new(engine), &tags, "kill_resume", experiment.clone(), None);
+        let report = dag.run(store, &[root], 2, &NullMonitor);
+        let suite = report.payload(root).map(<[u8]>::to_vec);
+        (report, suite)
+    };
 
-    // Kill: fail one seeded job so the checkpoint holds the others.
+    // The uninterrupted reference, on a store of its own.
+    let (reference, reference_suite) =
+        run(Engine::with_workers(2), &Store::new(scratch.join("reference")));
+    let Some(reference_suite) = reference_suite else {
+        return Err(format!("reference run failed: {:?}", reference.failures()));
+    };
+
+    // Kill: fail one seeded job, so the store holds the others.
+    let job = |index: usize| {
+        let per_benchmark = experiment.schemes.len();
+        (experiment.benchmarks[index / per_benchmark], experiment.schemes[index % per_benchmark])
+    };
     let victim = rng.index(jobs);
-    let (vb, vs) = (
-        experiment.benchmarks[victim / experiment.schemes.len()],
-        experiment.schemes[victim % experiment.schemes.len()],
-    );
+    let (vb, vs) = job(victim);
     let killed = Engine::with_workers(2).with_fault(move |benchmark, _geometry, scheme| {
         (benchmark == vb && scheme == vs).then(|| wp_core::CoreError::Io {
             context: "chaos kill/resume drill".to_string(),
             message: "injected mid-campaign kill".to_string(),
         })
     });
-    let partial = killed.run_checkpointed(&experiment, checkpoint);
-    if partial.failures.len() != 1 {
-        return Err(format!("kill should fail exactly one job: {:?}", partial.failures));
+    let (partial, _) = run(killed, &store);
+    if partial.failed() != 1 {
+        return Err(format!("kill should fail exactly one job: {:?}", partial.failures()));
     }
 
-    // Torn write: chop a seeded number of bytes off the final line, as
-    // a crash mid-`writeln` would.
-    let text = std::fs::read_to_string(checkpoint)
-        .map_err(|e| format!("checkpoint unreadable after kill: {e}"))?;
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.len() != jobs - 1 {
-        return Err(format!("expected {} checkpoint lines, found {}", jobs - 1, lines.len()));
-    }
-    let last = lines[lines.len() - 1];
-    let torn_bytes = 1 + rng.index(last.len());
-    let keep = text.len() - 1 - torn_bytes;
-    std::fs::write(checkpoint, &text.as_bytes()[..keep])
+    // Torn write: chop a seeded number of bytes off one published
+    // entry, as a crashed host would.
+    let torn = (victim + 1 + rng.index(jobs - 1)) % jobs;
+    let (tb, ts) = job(torn);
+    let geometry = experiment.geometries[0];
+    let key = keys::measure(tb, geometry, ts, experiment.input_set, &tags);
+    let path = store.entry_path(&key);
+    let bytes = std::fs::read(&path).map_err(|e| format!("entry unreadable after kill: {e}"))?;
+    let torn_bytes = 1 + rng.index(bytes.len());
+    std::fs::write(&path, &bytes[..bytes.len() - torn_bytes])
         .map_err(|e| format!("torn rewrite failed: {e}"))?;
 
-    // Resume: the torn line is skipped (re-executed), the intact lines
-    // replay from disk, and the report must match the reference byte
+    // Resume: the torn entry reads as a miss (re-executed), the intact
+    // ones are store hits, and the suite must match the reference byte
     // for byte.
-    let resumed = Engine::with_workers(2).run_checkpointed(&experiment, checkpoint);
-    if !resumed.is_complete() {
-        return Err(format!("resume failed: {:?}", resumed.failures));
+    let (resumed, resumed_suite) = run(Engine::with_workers(2), &store);
+    if !resumed.ok() {
+        return Err(format!("resume failed: {:?}", resumed.failures()));
     }
-    let replayed = resumed.stats.checkpoint_hits;
-    if replayed != (jobs - 2) as u64 {
-        return Err(format!("expected {} replayed jobs, got {replayed}", jobs - 2));
+    let hits = resumed.hits();
+    if hits != jobs - 2 {
+        return Err(format!("expected {} store hits, got {hits}", jobs - 2));
     }
-    if checkpoint.exists() {
-        return Err("checkpoint not removed after a complete resume".to_string());
-    }
-    if resumed.results_json().to_pretty() != reference.results_json().to_pretty() {
-        return Err("resumed report diverged from the uninterrupted reference".to_string());
+    if resumed_suite.as_deref() != Some(reference_suite.as_slice()) {
+        return Err("resumed suite diverged from the uninterrupted reference".to_string());
     }
 
     Ok(Json::obj([
         ("jobs", Json::from(jobs)),
         ("killed_job", Json::from(format!("{}/{}", vb.name(), vs.label()))),
+        ("torn_job", Json::from(format!("{}/{}", tb.name(), ts.label()))),
         ("torn_bytes", Json::from(torn_bytes)),
-        ("replayed_jobs", Json::from(replayed)),
+        ("store_hits", Json::from(hits)),
         ("byte_identical", Json::from(true)),
     ]))
 }
 
-/// Runs the campaign and renders the blessed manifest, refusing —
-/// like the perf tripwire — to bless a tree whose resilience
-/// invariants do not hold.
+/// Runs the campaign on `engine` and renders the blessed manifest
+/// stamped with `task_key` (the campaign DAG passes the key of the
+/// chaos node), refusing — like the perf tripwire — to bless a tree
+/// whose resilience invariants do not hold.
 ///
 /// # Errors
 ///
 /// A description of the violated invariant(s).
-pub fn build_chaos_baseline(quick: bool) -> Result<Json, String> {
-    let key = crate::campaign::keys::chaos(quick, &crate::campaign::InputTags::default());
-    build_chaos_baseline_with_key(quick, &key)
-}
-
-/// [`build_chaos_baseline`] with an explicit provenance task key (the
-/// campaign DAG passes the key of the chaos node).
-///
-/// # Errors
-///
-/// A description of the violated invariant(s).
-pub fn build_chaos_baseline_with_key(
+pub fn build_chaos_baseline(
+    engine: &Engine,
     quick: bool,
     task_key: &wp_campaign::TaskKey,
 ) -> Result<Json, String> {
-    let outcome = run_campaign(quick);
+    let outcome = run_campaign(engine, quick);
     if outcome.failed() {
         let mut reasons = Vec::new();
         reasons.extend(outcome.silent.iter().cloned());

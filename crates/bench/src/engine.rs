@@ -32,20 +32,17 @@
 //!   `wp-sim`'s wall-clock watchdog for every profiling and measurement
 //!   run, converting hung jobs into typed
 //!   [`wp_core::wp_sim::SimError::Timeout`] failures.
-//! * **Checkpoint / resume** — [`Engine::run_checkpointed`] appends
-//!   each completed row to a JSONL checkpoint as it finishes; rerunning
-//!   the same experiment against the same file replays completed jobs
-//!   from disk ([`EngineStats::checkpoint_hits`]) and only executes the
-//!   remainder. The file is removed once every job has succeeded.
+//! * **Resume lives in the campaign store** — the engine keeps no
+//!   on-disk state. A run that must survive interruption goes through
+//!   `wp-campaign`, whose content-addressed store publishes one entry
+//!   per measured job (see [`crate::campaign`]).
 //! * **Observability** — per-phase wall-clock totals
 //!   (assemble/profile/link/simulate/price), cache hit/miss counters,
 //!   retry/panic/timeout counters, and JSON manifests via
 //!   [`SuiteReport::json`].
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -70,8 +67,8 @@ use crate::SuiteRow;
 pub type SharedError = Arc<CoreError>;
 
 /// Locks a mutex, recovering the guard from a poisoned lock. All
-/// engine state behind mutexes (cache maps, result slots, checkpoint
-/// writer) stays structurally valid across a panic — panics are caught
+/// engine state behind mutexes (cache maps, result slots) stays
+/// structurally valid across a panic — panics are caught
 /// at the job boundary anyway — so the poison flag carries no
 /// information here.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -317,8 +314,6 @@ pub struct EngineStats {
     pub panics: u64,
     /// Wall-clock watchdog timeouts observed (per failing attempt).
     pub timeouts: u64,
-    /// Jobs replayed from a checkpoint instead of executed.
-    pub checkpoint_hits: u64,
     /// Wall-clock nanoseconds assembling + naturally linking modules.
     pub assemble_ns: u64,
     /// Wall-clock nanoseconds in profiling runs.
@@ -349,7 +344,6 @@ impl EngineStats {
             ("retries", Json::from(self.retries)),
             ("panics", Json::from(self.panics)),
             ("timeouts", Json::from(self.timeouts)),
-            ("checkpoint_hits", Json::from(self.checkpoint_hits)),
             ("assemble_ns", Json::from(self.assemble_ns)),
             ("profiling_ns", Json::from(self.profiling_ns)),
             ("link_ns", Json::from(self.link_ns)),
@@ -365,8 +359,8 @@ impl std::fmt::Display for EngineStats {
         write!(
             f,
             "engine: {} jobs ok, {} failed on {} workers | workbenches {} built / {} reused, \
-             baselines {} built / {} reused | retries {}, panics {}, timeouts {}, checkpoint \
-             hits {} | assemble {:.2}s, profile {:.2}s, link {:.2}s, simulate {:.2}s, price {:.2}s",
+             baselines {} built / {} reused | retries {}, panics {}, timeouts {} | assemble \
+             {:.2}s, profile {:.2}s, link {:.2}s, simulate {:.2}s, price {:.2}s",
             self.jobs_ok,
             self.jobs_failed,
             self.workers,
@@ -377,7 +371,6 @@ impl std::fmt::Display for EngineStats {
             self.retries,
             self.panics,
             self.timeouts,
-            self.checkpoint_hits,
             self.assemble_ns as f64 / 1e9,
             self.profiling_ns as f64 / 1e9,
             self.link_ns as f64 / 1e9,
@@ -398,7 +391,6 @@ struct Counters {
     retries: AtomicU64,
     panics: AtomicU64,
     timeouts: AtomicU64,
-    checkpoint_hits: AtomicU64,
     assemble_ns: AtomicU64,
     profiling_ns: AtomicU64,
     link_ns: AtomicU64,
@@ -508,80 +500,6 @@ pub type FaultHook = dyn Fn(Benchmark, CacheGeometry, Scheme) -> Option<CoreErro
 /// panic isolation).
 pub type BuildFaultHook = dyn Fn(Benchmark, u32) -> Option<CoreError> + Send + Sync;
 
-/// One already-completed row loaded from a checkpoint file.
-struct CheckpointRow {
-    energy: f64,
-    ed: f64,
-    cycles: u64,
-    instructions: u64,
-    fetches: u64,
-}
-
-fn checkpoint_key(
-    benchmark: Benchmark,
-    geometry: CacheGeometry,
-    scheme: Scheme,
-    set: InputSet,
-) -> String {
-    format!("{}|{}|{}|{}", benchmark.name(), geometry, scheme.label(), set_name(set))
-}
-
-/// Parses a JSONL checkpoint into `key → row`. Corrupt or
-/// wrong-schema lines are skipped with a warning — a torn final write
-/// from an interrupted run must never block resuming.
-fn load_checkpoint(path: &Path) -> HashMap<String, CheckpointRow> {
-    let mut completed = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return completed;
-    };
-    for (index, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = Json::parse(line).ok();
-        let row = parsed.as_ref().and_then(|json| {
-            Some((
-                json.get("key")?.as_str()?.to_string(),
-                CheckpointRow {
-                    energy: json.get("energy")?.as_f64()?,
-                    ed: json.get("ed")?.as_f64()?,
-                    cycles: json.get("cycles")?.as_u64()?,
-                    instructions: json.get("instructions")?.as_u64()?,
-                    fetches: json.get("fetches")?.as_u64()?,
-                },
-            ))
-        });
-        match row {
-            Some((key, row)) => {
-                completed.insert(key, row);
-            }
-            None => eprintln!("checkpoint {}: skipping corrupt line {}", path.display(), index + 1),
-        }
-    }
-    completed
-}
-
-fn checkpoint_line(key: &str, row: &JobRow) -> String {
-    Json::obj([
-        ("key", Json::from(key)),
-        ("energy", Json::from(row.energy)),
-        ("ed", Json::from(row.ed)),
-        ("cycles", Json::from(row.cycles)),
-        ("instructions", Json::from(row.instructions)),
-        ("fetches", Json::from(row.fetches)),
-    ])
-    .to_compact()
-}
-
-enum JobOutcome {
-    /// Replayed from the checkpoint without executing.
-    Cached(JobRow),
-    /// Executed this run.
-    Fresh(JobRow),
-    /// Failed (after any retries).
-    Failed(JobFailure),
-}
-
 /// Pre-registered handles into the armed [`Obs`] registry, so the hot
 /// path never takes the registry lock.
 struct EngineMetrics {
@@ -590,8 +508,6 @@ struct EngineMetrics {
     retries: ObsCounter,
     panics: ObsCounter,
     timeouts: ObsCounter,
-    checkpoint_hits: ObsCounter,
-    checkpoint_writes: ObsCounter,
     workbench_builds: ObsCounter,
     baseline_builds: ObsCounter,
     queue_depth: ObsGauge,
@@ -612,10 +528,6 @@ impl EngineMetrics {
             panics: m.counter("wp_engine_panics_total", "Panics caught at the job boundary"),
             timeouts: m
                 .counter("wp_engine_timeouts_total", "Wall-clock watchdog timeouts observed"),
-            checkpoint_hits: m
-                .counter("wp_engine_checkpoint_hits_total", "Jobs replayed from a checkpoint"),
-            checkpoint_writes: m
-                .counter("wp_engine_checkpoint_writes_total", "Rows appended to a checkpoint"),
             workbench_builds: m
                 .counter("wp_engine_workbench_builds_total", "Workbenches assembled and profiled"),
             baseline_builds: m
@@ -850,7 +762,6 @@ impl Engine {
             retries: load(&c.retries),
             panics: load(&c.panics),
             timeouts: load(&c.timeouts),
-            checkpoint_hits: load(&c.checkpoint_hits),
             assemble_ns: load(&c.assemble_ns),
             profiling_ns: load(&c.profiling_ns),
             link_ns: load(&c.link_ns),
@@ -1107,25 +1018,6 @@ impl Engine {
     /// the structured report. Never panics on job failure.
     #[must_use]
     pub fn run(&self, experiment: &Experiment) -> SuiteReport {
-        self.run_with_checkpoint(experiment, None)
-    }
-
-    /// [`Engine::run`] with incremental checkpointing: every completed
-    /// row is appended to the JSONL file at `path` as it finishes, and
-    /// jobs whose `(benchmark, geometry, scheme, input-set)` already
-    /// appear there are replayed from disk instead of executed
-    /// (counted in [`EngineStats::checkpoint_hits`]). When every job of
-    /// the experiment has succeeded the checkpoint is removed; after a
-    /// partial run it remains, so rerunning the same call resumes.
-    ///
-    /// Checkpoint I/O failures are reported to stderr and never fail
-    /// the run — the checkpoint is an accelerator, not a dependency.
-    #[must_use]
-    pub fn run_checkpointed(&self, experiment: &Experiment, path: &Path) -> SuiteReport {
-        self.run_with_checkpoint(experiment, Some(path))
-    }
-
-    fn run_with_checkpoint(&self, experiment: &Experiment, path: Option<&Path>) -> SuiteReport {
         // Flattened deterministic job order: benchmark-major, then
         // geometry, then scheme — the order rows are reported in. The
         // index is the job's deterministic journal-ordering group.
@@ -1154,24 +1046,9 @@ impl Engine {
                 vec![
                     ("jobs", jobs.len().to_string()),
                     ("input_set", set_name(experiment.input_set).to_string()),
-                    ("checkpointed", path.is_some().to_string()),
                 ],
             );
             base
-        });
-
-        let completed = path.map(load_checkpoint).unwrap_or_default();
-        let writer = path.and_then(|path| {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::OpenOptions::new().create(true).append(true).open(path) {
-                Ok(file) => Some(Mutex::new(file)),
-                Err(e) => {
-                    eprintln!("checkpoint {}: cannot open for append: {e}", path.display());
-                    None
-                }
-            }
         });
 
         let set = experiment.input_set;
@@ -1188,67 +1065,13 @@ impl Engine {
                 );
                 scope
             });
-            let key = checkpoint_key(benchmark, geometry, scheme, set);
-            if let Some(saved) = completed.get(&key) {
-                self.counters.checkpoint_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(spans) = &self.spans {
-                    spans.instant(format!("checkpoint:{key}"), "checkpoint", Vec::new());
-                }
-                if let (Some(obs), Some(m)) = (&self.obs, &self.metrics) {
-                    m.checkpoint_hits.inc();
-                    obs.accounts.charge(
-                        benchmark.name(),
-                        &scheme.label(),
-                        "checkpoint",
-                        Usage { cycles: saved.cycles, fetches: saved.fetches, ..Usage::default() },
-                    );
-                }
-                if let Some(s) = &jscope {
-                    s.emit("checkpoint_hit", vec![("key", key.clone())]);
-                    s.emit(
-                        "job_finish",
-                        vec![
-                            ("outcome", "cached".to_string()),
-                            ("fetches", saved.fetches.to_string()),
-                            ("cycles", saved.cycles.to_string()),
-                        ],
-                    );
-                }
-                return JobOutcome::Cached(JobRow {
-                    benchmark,
-                    geometry,
-                    scheme,
-                    label: scheme.label(),
-                    energy: saved.energy,
-                    ed: saved.ed,
-                    cycles: saved.cycles,
-                    instructions: saved.instructions,
-                    fetches: saved.fetches,
-                });
-            }
             let started = Instant::now();
-            match self.run_job(benchmark, geometry, scheme, set, jscope.as_ref()) {
+            let outcome = self.run_job(benchmark, geometry, scheme, set, jscope.as_ref());
+            match &outcome {
                 Ok(row) => {
                     if let Some(m) = &self.metrics {
                         m.job_wall_us
                             .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(0));
-                    }
-                    if let Some(writer) = &writer {
-                        let line = checkpoint_line(&key, &row);
-                        let mut file = lock(writer);
-                        let wrote = writeln!(file, "{line}").and_then(|()| file.flush());
-                        drop(file);
-                        match wrote {
-                            Ok(()) => {
-                                if let Some(m) = &self.metrics {
-                                    m.checkpoint_writes.inc();
-                                }
-                                if let Some(s) = &jscope {
-                                    s.emit("checkpoint_write", vec![("key", key.clone())]);
-                                }
-                            }
-                            Err(e) => eprintln!("checkpoint write failed (continuing): {e}"),
-                        }
                     }
                     if let Some(s) = &jscope {
                         s.emit(
@@ -1260,7 +1083,6 @@ impl Engine {
                             ],
                         );
                     }
-                    JobOutcome::Fresh(row)
                 }
                 Err(failure) => {
                     if let Some(s) = &jscope {
@@ -1274,47 +1096,30 @@ impl Engine {
                             ],
                         );
                     }
-                    JobOutcome::Failed(failure)
                 }
             }
+            outcome
         });
 
         let mut rows = Vec::new();
         let mut failures = Vec::new();
         for outcome in outcomes {
             match outcome {
-                JobOutcome::Cached(row) => rows.push(row),
-                JobOutcome::Fresh(row) => {
+                Ok(row) => {
                     self.counters.jobs_ok.fetch_add(1, Ordering::Relaxed);
                     if let Some(m) = &self.metrics {
                         m.jobs_ok.inc();
+                        m.job_fetches.record(row.fetches);
+                        m.job_cycles.record(row.cycles);
                     }
                     rows.push(row);
                 }
-                JobOutcome::Failed(failure) => {
+                Err(failure) => {
                     self.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
                     if let Some(m) = &self.metrics {
                         m.jobs_failed.inc();
                     }
                     failures.push(failure);
-                }
-            }
-        }
-        // Row histograms cover every completed row — fresh and
-        // checkpoint-replayed alike — so their totals reconcile against
-        // the report's rows, not against what happened to be executed.
-        if let Some(m) = &self.metrics {
-            for row in &rows {
-                m.job_fetches.record(row.fetches);
-                m.job_cycles.record(row.cycles);
-            }
-        }
-        if let Some(path) = path {
-            if failures.is_empty() {
-                if let Err(e) = std::fs::remove_file(path) {
-                    if e.kind() != std::io::ErrorKind::NotFound {
-                        eprintln!("checkpoint {}: cannot remove: {e}", path.display());
-                    }
                 }
             }
         }
@@ -1561,27 +1366,6 @@ mod tests {
         assert!(policy.delay(100) >= policy.delay(3));
         assert_eq!(RetryPolicy::none().max_attempts, 1);
         assert_eq!(RetryPolicy::new(0, Duration::ZERO).max_attempts, 1);
-    }
-
-    #[test]
-    fn checkpoint_lines_round_trip() {
-        let row = JobRow {
-            benchmark: Benchmark::Crc,
-            geometry: CacheGeometry::xscale_icache(),
-            scheme: Scheme::WayMemoization,
-            label: Scheme::WayMemoization.label(),
-            energy: 0.625,
-            ed: 0.93,
-            cycles: 123_456,
-            instructions: 654_321,
-            fetches: 222_333,
-        };
-        let key = checkpoint_key(row.benchmark, row.geometry, row.scheme, InputSet::Small);
-        let line = checkpoint_line(&key, &row);
-        let parsed = Json::parse(&line).expect("parses");
-        assert_eq!(parsed.get("key").and_then(Json::as_str), Some(key.as_str()));
-        assert_eq!(parsed.get("energy").and_then(Json::as_f64), Some(0.625));
-        assert_eq!(parsed.get("cycles").and_then(Json::as_u64), Some(123_456));
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! keep trusting it. This pipeline makes the observability layer
 //! *falsifiable*: it drives the engine through a scripted campaign
 //! whose outcome is known exactly (one transient fault that must
-//! retry, one deterministic failure that must surface, a
-//! checkpoint/resume pass that must replay all but the victim, and a
-//! quick chaos mini-campaign with real scheme demotions), then demands
-//! that every counter, journal count, histogram total and account cell
-//! agree with the [`SuiteReport`]s and [`ChaosOutcome`] the same run
-//! produced through the ordinary, uninstrumented return path. Any
-//! mismatch is a failed check and the binary exits 1.
+//! retry, one deterministic failure that must surface, and a quick
+//! chaos mini-campaign with real scheme demotions on a second engine
+//! sharing the same [`Obs`]), then demands that every counter, journal
+//! count, histogram total and account cell agree with the
+//! [`SuiteReport`] and [`ChaosOutcome`] the same run produced through
+//! the ordinary, uninstrumented return path. Any mismatch is a failed
+//! check and the binary exits 1.
 //!
 //! The canonical manifest ([`ObsReport::canonical_manifest`]) is
 //! byte-deterministic — accounts are exported without their wall-clock
@@ -22,7 +22,6 @@
 //! other stored baselines (its `runs` rows are
 //! `wp_tune::TraceSet`-joinable).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,7 +32,7 @@ use wp_core::{CoreError, Scheme};
 use wp_obs::metrics::MetricSnapshot;
 use wp_obs::Obs;
 
-use crate::chaos::{run_campaign_on, ChaosOutcome};
+use crate::chaos::{run_campaign, ChaosOutcome};
 use crate::engine::{Engine, Experiment, RetryPolicy, SuiteReport};
 use crate::Json;
 
@@ -97,8 +96,8 @@ impl Check {
     }
 }
 
-/// The finished pipeline: both suite passes, the chaos mini-campaign,
-/// and every reconciliation check.
+/// The finished pipeline: the faulted suite pass, the chaos
+/// mini-campaign, and every reconciliation check.
 pub struct ObsReport {
     /// Whether this was the quick (CI smoke) shape.
     pub quick: bool,
@@ -106,15 +105,13 @@ pub struct ObsReport {
     pub obs: Arc<Obs>,
     /// The experiment that ran.
     pub experiment: Experiment,
-    /// First pass: one retry victim, one hard failure, checkpointed.
+    /// The suite pass: one retry victim, one hard failure.
     pub faulted: SuiteReport,
-    /// Second pass: resumes the checkpoint, completes every job.
-    pub resumed: SuiteReport,
     /// The chaos mini-campaign (always the quick matrix).
     pub chaos: ChaosOutcome,
     /// Every reconciliation check.
     pub checks: Vec<Check>,
-    /// Per-worker busy time of the resumed engine, for the wall section.
+    /// Per-worker busy time of the suite engine, for the wall section.
     pub busy_ns: Vec<u64>,
 }
 
@@ -123,7 +120,6 @@ impl ObsReport {
     #[must_use]
     pub fn ok(&self) -> bool {
         self.faulted.failures.len() == 1
-            && self.resumed.is_complete()
             && !self.chaos.failed()
             && self.checks.iter().all(Check::ok)
     }
@@ -238,23 +234,12 @@ impl ObsReport {
                     ("checks", Json::from(self.checks.len())),
                     ("failed_checks", Json::from(failed)),
                     ("suite_failures", Json::from(self.faulted.failures.len())),
-                    ("resumed_complete", Json::from(self.resumed.is_complete())),
                     ("chaos_ok", Json::from(!self.chaos.failed())),
                     ("ok", Json::from(self.ok())),
                 ]),
             ),
         ])
     }
-}
-
-fn scratch_checkpoint() -> PathBuf {
-    // Unique per invocation, not just per process: tests run concurrent
-    // pipelines inside one binary.
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let invocation = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir()
-        .join(format!("wp-obs-{}-{invocation}", std::process::id()))
-        .join("obs_report.checkpoint.jsonl")
 }
 
 /// Runs the scripted campaign against `obs` and reconciles. Pass a
@@ -265,23 +250,16 @@ fn scratch_checkpoint() -> PathBuf {
 ///
 /// # Errors
 ///
-/// Infrastructure failures only (scratch checkpoint I/O, an engine
-/// pass with the wrong shape). Check mismatches are *not* errors —
-/// they are reported through [`ObsReport::checks`].
+/// Infrastructure failures only (an engine pass with the wrong
+/// shape). Check mismatches are *not* errors — they are reported
+/// through [`ObsReport::checks`].
 pub fn run_pipeline(obs: &Arc<Obs>, quick: bool, sabotage: bool) -> Result<ObsReport, String> {
     let experiment = obs_experiment(quick);
     let jobs = experiment.job_count();
-    let checkpoint = scratch_checkpoint();
-    if let Some(dir) = checkpoint.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("creating scratch dir {}: {e}", dir.display()))?;
-    }
-    let _ = std::fs::remove_file(&checkpoint);
 
     // Victims, picked deterministically from the experiment's corners:
     // the first job fails transiently on its first attempt (must
-    // retry), the last job fails hard (must surface as a failure and be
-    // the one job the resume pass re-executes).
+    // retry), the last job fails hard (must surface as a failure).
     let retry_victim = (experiment.benchmarks[0], experiment.schemes[0]);
     let hard_victim = (
         experiment.benchmarks[experiment.benchmarks.len() - 1],
@@ -307,7 +285,7 @@ pub fn run_pipeline(obs: &Arc<Obs>, quick: bool, sabotage: bool) -> Result<ObsRe
             }
             None
         });
-    let faulted = faulted_engine.run_checkpointed(&experiment, &checkpoint);
+    let faulted = faulted_engine.run(&experiment);
     if faulted.failures.len() != 1 {
         return Err(format!(
             "faulted pass should fail exactly the hard victim: {:?}",
@@ -315,54 +293,38 @@ pub fn run_pipeline(obs: &Arc<Obs>, quick: bool, sabotage: bool) -> Result<ObsRe
         ));
     }
 
-    // Resume on a clean engine sharing the same Obs: all but the victim
-    // replay from the checkpoint, the victim runs fresh, the suite
-    // completes and the checkpoint is removed.
-    let resumed_engine = Engine::with_workers(OBS_WORKERS).with_obs(Arc::clone(obs));
-    let resumed = resumed_engine.run_checkpointed(&experiment, &checkpoint);
-    if !resumed.is_complete() {
-        return Err(format!("resume pass failed: {:?}", resumed.failures));
-    }
-    if checkpoint.exists() {
-        return Err("checkpoint not removed after a complete resume".to_string());
-    }
-    if let Some(dir) = checkpoint.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
     // The chaos mini-campaign (always the quick matrix — the full one
-    // is the chaos baseline's job): real injected faults, real
-    // demotions, journaled and counted through the same Obs.
-    let chaos = run_campaign_on(&resumed_engine, true);
+    // is the chaos baseline's job) on a second engine sharing the same
+    // Obs: real injected faults, real demotions, journaled and counted
+    // into the same registry as the suite pass.
+    let chaos_engine = Engine::with_workers(OBS_WORKERS).with_obs(Arc::clone(obs));
+    let chaos = run_campaign(&chaos_engine, true);
 
     if sabotage {
         obs.metrics.counter("wp_engine_retries_total", "").inc();
     }
 
-    let checks = reconcile(obs, &experiment, &faulted, &resumed, &chaos, hard_victim, jobs as u64);
+    let checks = reconcile(obs, &experiment, &faulted, &chaos, jobs as u64);
     Ok(ObsReport {
         quick,
         obs: Arc::clone(obs),
         experiment,
         faulted,
-        resumed,
         chaos,
         checks,
-        busy_ns: resumed_engine.pool_snapshot().busy_ns,
+        busy_ns: faulted_engine.pool_snapshot().busy_ns,
     })
 }
 
 /// Every reconciliation: counters vs [`SuiteReport`] stats, journal
 /// counts vs both, histogram totals vs the rows themselves, chaos
-/// counters vs the classified trials, account cells vs the rows that
-/// were charged to them.
+/// counters vs the classified trials, account cells vs the retries
+/// charged to them, and workbench builds summed across both engines.
 fn reconcile(
     obs: &Arc<Obs>,
     experiment: &Experiment,
     faulted: &SuiteReport,
-    resumed: &SuiteReport,
     chaos: &ChaosOutcome,
-    hard_victim: (Benchmark, Scheme),
     jobs: u64,
 ) -> Vec<Check> {
     let counter = |name: &str| obs.metrics.counter_value(name).unwrap_or(u64::MAX);
@@ -372,20 +334,20 @@ fn reconcile(
         checks.push(Check { name, expected, actual });
     };
 
-    // Suite bookends: one start/finish pair per engine pass.
-    push("journal suite_start events", 2, journal.count_kind("suite_start"));
-    push("journal suite_finish events", 2, journal.count_kind("suite_finish"));
-    push("journal job_start events", 2 * jobs, journal.count_kind("job_start"));
+    // Suite bookends: one start/finish pair for the one suite pass.
+    push("journal suite_start events", 1, journal.count_kind("suite_start"));
+    push("journal suite_finish events", 1, journal.count_kind("suite_finish"));
+    push("journal job_start events", jobs, journal.count_kind("job_start"));
 
-    // Job outcomes: counters and journal against the reports.
-    let fresh_ok = faulted.stats.jobs_ok + resumed.stats.jobs_ok;
-    push("jobs_ok counter vs engine stats", fresh_ok, counter("wp_engine_jobs_ok_total"));
+    // Job outcomes: counters and journal against the report.
+    let ok = faulted.stats.jobs_ok;
+    push("jobs_ok counter vs engine stats", ok, counter("wp_engine_jobs_ok_total"));
     push(
         "journal ok finishes vs engine stats",
-        fresh_ok,
+        ok,
         journal.count_kind_attr("job_finish", "outcome", "ok"),
     );
-    let failed = (faulted.failures.len() + resumed.failures.len()) as u64;
+    let failed = faulted.failures.len() as u64;
     push("jobs_failed counter vs reports", failed, counter("wp_engine_jobs_failed_total"));
     push(
         "journal failed finishes vs reports",
@@ -395,42 +357,21 @@ fn reconcile(
 
     // The scripted retry: engine stats, counter, journal and accounts
     // must all have seen exactly it.
-    let retries = faulted.stats.retries + resumed.stats.retries;
+    let retries = faulted.stats.retries;
     push("retries counter vs engine stats", retries, counter("wp_engine_retries_total"));
     push("journal job_retry events", retries, journal.count_kind("job_retry"));
     push("accounts retry column", retries, obs.accounts.total(None, |u| u.retries));
 
-    // Checkpoint replay: the resume pass replays everything but the
-    // victim; writes cover every fresh success across both passes.
-    let hits = faulted.stats.checkpoint_hits + resumed.stats.checkpoint_hits;
-    push(
-        "checkpoint_hits counter vs engine stats",
-        hits,
-        counter("wp_engine_checkpoint_hits_total"),
-    );
-    push("journal checkpoint_hit events", hits, journal.count_kind("checkpoint_hit"));
-    push(
-        "journal cached finishes",
-        hits,
-        journal.count_kind_attr("job_finish", "outcome", "cached"),
-    );
-    push(
-        "checkpoint_writes counter vs fresh successes",
-        fresh_ok,
-        counter("wp_engine_checkpoint_writes_total"),
-    );
-
-    // Histogram totals vs the report rows themselves (both passes, so
-    // cached replays are covered too).
-    let rows = || faulted.rows.iter().chain(&resumed.rows);
+    // Histogram totals vs the report rows themselves.
+    let rows = &faulted.rows;
     if let Some(h) = obs.metrics.histogram_snapshot("wp_job_fetches") {
-        push("job_fetches histogram count vs rows", rows().count() as u64, h.count());
-        push("job_fetches histogram sum vs rows", rows().map(|r| r.fetches).sum(), h.sum());
+        push("job_fetches histogram count vs rows", rows.len() as u64, h.count());
+        push("job_fetches histogram sum vs rows", rows.iter().map(|r| r.fetches).sum(), h.sum());
     } else {
         push("job_fetches histogram present", 1, 0);
     }
     if let Some(h) = obs.metrics.histogram_snapshot("wp_job_cycles") {
-        push("job_cycles histogram sum vs rows", rows().map(|r| r.cycles).sum(), h.sum());
+        push("job_cycles histogram sum vs rows", rows.iter().map(|r| r.cycles).sum(), h.sum());
     } else {
         push("job_cycles histogram present", 1, 0);
     }
@@ -461,27 +402,13 @@ fn reconcile(
     push("promotions counter vs trials", promotions, counter("wp_promotions_total"));
     push("journal scheme_promotion events", promotions, journal.count_kind("scheme_promotion"));
 
-    // Accounts: the checkpoint phase was charged exactly the replayed
-    // rows' fetches (the resume pass's rows minus the fresh victim).
-    let cached_fetches: u64 = resumed
-        .rows
-        .iter()
-        .filter(|r| (r.benchmark, r.scheme) != hard_victim)
-        .map(|r| r.fetches)
-        .sum();
-    push(
-        "accounts checkpoint fetches vs replayed rows",
-        cached_fetches,
-        obs.accounts.total(Some("checkpoint"), |u| u.fetches),
-    );
-    // Workbench builds: each engine builds each benchmark once, and the
-    // chaos mini-campaign adds its own matrix on the resumed engine.
+    // Workbench builds, aggregated across both engines: the suite
+    // engine builds each experiment benchmark once, the chaos engine
+    // each benchmark of its own matrix once.
     let chaos_benchmarks = crate::chaos::chaos_benchmarks(true).0;
-    let extra =
-        chaos_benchmarks.iter().filter(|b| !experiment.benchmarks.contains(b)).count() as u64;
     push(
         "workbench_builds counter vs engines",
-        2 * experiment.benchmarks.len() as u64 + extra,
+        (experiment.benchmarks.len() + chaos_benchmarks.len()) as u64,
         counter("wp_engine_workbench_builds_total"),
     );
 
@@ -492,28 +419,15 @@ fn reconcile(
     checks
 }
 
-/// Runs the pipeline and renders the blessed manifest, refusing — like
-/// the chaos and perf tripwires — to bless a tree whose observability
-/// layer does not reconcile.
+/// Runs the pipeline and renders the blessed manifest stamped with
+/// `task_key` (the campaign DAG passes the key of the obs node),
+/// refusing — like the chaos and perf tripwires — to bless a tree
+/// whose observability layer does not reconcile.
 ///
 /// # Errors
 ///
 /// A description of the failed check(s) or infrastructure failure.
-pub fn build_obs_baseline(quick: bool) -> Result<Json, String> {
-    let key = crate::campaign::keys::obs(quick, &crate::campaign::InputTags::default());
-    build_obs_baseline_with_key(quick, &key)
-}
-
-/// [`build_obs_baseline`] with an explicit provenance task key (the
-/// campaign DAG passes the key of the obs node).
-///
-/// # Errors
-///
-/// A description of the failed check(s) or infrastructure failure.
-pub fn build_obs_baseline_with_key(
-    quick: bool,
-    task_key: &wp_campaign::TaskKey,
-) -> Result<Json, String> {
+pub fn build_obs_baseline(quick: bool, task_key: &wp_campaign::TaskKey) -> Result<Json, String> {
     let obs = Obs::new();
     let report = run_pipeline(&obs, quick, false)?;
     if !report.ok() {

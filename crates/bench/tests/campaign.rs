@@ -1,12 +1,12 @@
 //! End-to-end tests for the campaign DAG: cold-run byte identity with
 //! the standalone builders, warm-rerun purity (zero misses, identical
 //! bytes), single-benchmark invalidation recomputing only its
-//! dependency cone, and the store-backed gate resolving every fresh
-//! manifest as a hit against a warm store.
+//! dependency cone, and the gate resolving every fresh manifest as a
+//! hit against the store a bless just filled.
 
 use std::path::PathBuf;
 
-use wp_bench::baseline::gate_via_store;
+use wp_bench::baseline::{bless, gate, DETERMINISTIC_GROUPS};
 use wp_bench::campaign::{fig1_data, fig1_manifest, keys, run, CampaignConfig, Group, InputTags};
 use wp_campaign::Store;
 use wp_core::wp_workloads::Benchmark;
@@ -103,32 +103,21 @@ fn warm_rerun_is_pure_hits_and_tag_flip_recomputes_only_the_cone() {
 }
 
 #[test]
-fn gate_via_store_is_pure_hits_against_a_warm_store() {
+fn gate_is_pure_hits_against_the_store_a_bless_filled() {
+    // Bless the deterministic groups into a fresh store: the gate must
+    // then diff clean without a single re-simulation.
     let store = Store::new(scratch("gate"));
-    let config = CampaignConfig::new(true, Group::BASELINE.to_vec());
-    let warm = run(&config, &store, None);
-    assert!(warm.report.ok(), "warm-up run failed: {:?}", warm.report.failures());
-
-    // Bless straight from the campaign payloads: the store-backed gate
-    // must then diff clean without a single re-simulation.
     let blessed = scratch("gate-blessed");
-    std::fs::create_dir_all(&blessed).expect("create blessed dir");
-    for (group, bytes) in warm.manifests() {
-        let name = format!("BENCH_{}.json", group.manifest_name());
-        std::fs::write(blessed.join(name), bytes).expect("write blessed manifest");
-    }
+    bless(&blessed, &store, &DETERMINISTIC_GROUPS, true).expect("bless");
 
     let obs = Obs::new();
-    let report = gate_via_store(&blessed, &store, true, DiffThresholds::default(), Some(&obs))
-        .expect("gate");
+    let groups = &DETERMINISTIC_GROUPS;
+    let report =
+        gate(&blessed, &store, groups, true, DiffThresholds::default(), Some(&obs)).expect("gate");
     assert!(report.is_clean(), "warm gate flagged: {:?}", report.json().to_compact());
     assert_eq!(report.exit_code(), 0);
     assert_eq!(misses(&obs), 0, "a warm gate re-simulates nothing");
-    assert_eq!(
-        hits(&obs),
-        Group::BASELINE.len() as u64,
-        "every fresh manifest resolves from the store"
-    );
+    assert_eq!(hits(&obs), groups.len() as u64, "every fresh manifest resolves from the store");
 
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(blessed);

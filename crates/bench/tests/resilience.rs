@@ -1,12 +1,16 @@
 //! Engine resilience integration tests: panic isolation, bounded
-//! retry of transient failures, watchdog timeouts, and
-//! checkpoint/resume.
+//! retry of transient failures, watchdog timeouts, and resuming a
+//! killed run from the campaign store.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use wp_bench::{Engine, Experiment, JobPhase, RetryPolicy};
+use wp_bench::campaign::{keys, plan_suite, InputTags};
+use wp_bench::chaos::kill_resume_drill;
+use wp_bench::{Engine, Experiment, JobPhase, Json, RetryPolicy};
+use wp_campaign::{Dag, NullMonitor, Store};
 use wp_core::wp_mem::CacheGeometry;
 use wp_core::wp_sim::SimError;
 use wp_core::wp_workloads::{Benchmark, InputSet};
@@ -14,10 +18,12 @@ use wp_core::{CoreError, Scheme};
 
 const AREA: u32 = 8 * 1024;
 
-fn scratch_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wp-resilience-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+/// A scratch directory under the system temp dir, unique to this
+/// process and `name`; any leftover is cleared first.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wp-resilience-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn experiment(benchmarks: impl Into<Vec<Benchmark>>) -> Experiment {
@@ -135,119 +141,92 @@ fn watchdog_timeout_is_typed_transient_and_retried() {
     assert!(report.stats.timeouts >= 2, "{:?}", report.stats);
 }
 
-/// Checkpoint/resume round trip: a partially-failed run leaves its
-/// completed rows in the checkpoint; resuming replays them from disk
-/// (zero re-execution), runs only the missing job, produces
-/// byte-identical results to an uninterrupted run, and removes the
-/// checkpoint once complete.
-#[test]
-fn checkpoint_resume_replays_completed_jobs_from_disk() {
-    let path = scratch_path("resume.jsonl");
-    let _ = std::fs::remove_file(&path);
-    let experiment = experiment([Benchmark::Crc, Benchmark::Sha]);
-
-    // First run: the last job (Sha / way-placement) fails.
-    let broken = Engine::with_workers(2).with_fault(|benchmark, _geometry, scheme| {
-        (benchmark == Benchmark::Sha && !matches!(scheme, Scheme::WayMemoization))
-            .then_some(CoreError::ChecksumMismatch { benchmark, expected: 0xa, actual: 0xb })
-    });
-    let first = broken.run_checkpointed(&experiment, &path);
-    assert_eq!(first.rows.len(), 3);
-    assert_eq!(first.failures.len(), 1);
-    let saved = std::fs::read_to_string(&path).expect("checkpoint persists after failure");
-    assert_eq!(saved.lines().count(), 3, "one JSONL line per completed row:\n{saved}");
-
-    // Resume on a fresh engine with the fault gone: the three
-    // completed jobs replay from the checkpoint, only Sha/WP executes.
-    let healthy = Engine::with_workers(2);
-    let second = healthy.run_checkpointed(&experiment, &path);
-    assert!(second.is_complete(), "failures: {:?}", second.failures);
-    assert_eq!(second.stats.checkpoint_hits, 3, "{:?}", second.stats);
-    assert_eq!(second.stats.jobs_ok, 1, "only the failed job re-ran");
-    // Crc was never rebuilt: all its jobs came from the checkpoint.
-    assert_eq!(second.stats.workbench_builds, 1, "{:?}", second.stats);
-    assert!(!path.exists(), "checkpoint removed after a fully-complete run");
-
-    // The resumed report is byte-identical to an uninterrupted run.
-    let reference = Engine::with_workers(2).run(&experiment);
-    assert_eq!(
-        second.results_json().to_pretty(),
-        reference.results_json().to_pretty(),
-        "resumed rows must match a clean run exactly"
-    );
-}
-
-/// Torn-write recovery: a run killed mid-campaign leaves a checkpoint
-/// whose final JSONL record is then truncated mid-line (as a crash
-/// inside `writeln!` would). Resuming must skip the torn record,
-/// replay the intact ones, re-execute the rest, and produce a report
+/// Store-backed resume: a partially-failed run publishes every
+/// completed measure job to the campaign store before the suite node
+/// gives up; resuming on a fresh engine against the same store replays
+/// those jobs from disk (no re-execution, no rebuild of their
+/// workbenches), runs only the failed job, and assembles a suite
 /// byte-identical to an uninterrupted run.
 #[test]
-fn torn_checkpoint_write_resumes_byte_identical() {
-    let path = scratch_path("torn.jsonl");
-    let _ = std::fs::remove_file(&path);
+fn checkpoint_resume_replays_completed_jobs_from_disk() {
+    let scratch = scratch_dir("replay");
     let experiment = experiment([Benchmark::Crc, Benchmark::Sha]);
-    let reference = Engine::with_workers(2).run(&experiment);
-    assert!(reference.is_complete(), "failures: {:?}", reference.failures);
+    let jobs = experiment.job_count();
+    let tags = InputTags::default();
+    let store = Store::new(scratch.join("store"));
+    let run = |engine: &Arc<Engine>, store: &Store| {
+        let mut dag = Dag::new();
+        let root = plan_suite(&mut dag, engine, &tags, "resume", experiment.clone(), None);
+        let report = dag.run(store, &[root], 2, &NullMonitor);
+        let suite = report.payload(root).map(<[u8]>::to_vec);
+        (report, suite)
+    };
 
-    // Kill the last job; the checkpoint holds the other three rows.
-    let killed = Engine::with_workers(2).with_fault(|benchmark, _geometry, scheme| {
-        (benchmark == Benchmark::Sha && !matches!(scheme, Scheme::WayMemoization)).then(|| {
-            CoreError::Io {
-                context: "injected kill".to_string(),
-                message: "simulated crash".to_string(),
-            }
+    // First run: the last job (Sha / way-placement) fails, so the
+    // suite node is skipped while the other three jobs publish.
+    let broken = Arc::new(Engine::with_workers(2).with_fault(|benchmark, _geometry, scheme| {
+        (benchmark == Benchmark::Sha && !matches!(scheme, Scheme::WayMemoization))
+            .then_some(CoreError::ChecksumMismatch { benchmark, expected: 0xa, actual: 0xb })
+    }));
+    let (first, first_suite) = run(&broken, &store);
+    assert_eq!(first.failed(), 1, "failures: {:?}", first.failures());
+    assert_eq!(first.skipped(), 1, "the suite node waits on the failed job");
+    assert!(first_suite.is_none());
+    let geometry = experiment.geometries[0];
+    let published = experiment
+        .benchmarks
+        .iter()
+        .flat_map(|&b| experiment.schemes.iter().map(move |&s| (b, s)))
+        .filter(|&(b, s)| {
+            store.get(&keys::measure(b, geometry, s, experiment.input_set, &tags)).is_some()
         })
-    });
-    let partial = killed.run_checkpointed(&experiment, &path);
-    assert_eq!(partial.failures.len(), 1);
+        .count();
+    assert_eq!(published, jobs - 1, "one store entry per completed job");
 
-    // Tear the final record: drop the trailing newline plus the last
-    // few bytes of the line, leaving unparseable JSON.
-    let text = std::fs::read_to_string(&path).expect("checkpoint after kill");
-    assert_eq!(text.lines().count(), 3);
-    std::fs::write(&path, &text.as_bytes()[..text.len() - 5]).expect("torn rewrite");
+    // Resume on a fresh engine with the fault gone: the three
+    // completed jobs are store hits, only Sha/WP executes.
+    let healthy = Arc::new(Engine::with_workers(2));
+    let (second, second_suite) = run(&healthy, &store);
+    assert!(second.ok(), "failures: {:?}", second.failures());
+    assert_eq!(second.hits(), jobs - 1, "completed jobs replay from the store");
+    let stats = healthy.stats();
+    assert_eq!(stats.jobs_ok, 1, "only the failed job re-ran: {stats:?}");
+    // Crc was never rebuilt: all its jobs came from the store.
+    assert_eq!(stats.workbench_builds, 1, "{stats:?}");
 
-    let resumed = Engine::with_workers(2).run_checkpointed(&experiment, &path);
-    assert!(resumed.is_complete(), "failures: {:?}", resumed.failures);
-    assert_eq!(resumed.stats.checkpoint_hits, 2, "two intact lines replay; the torn one reruns");
-    assert!(!path.exists(), "checkpoint removed after the complete resume");
-    assert_eq!(
-        resumed.results_json().to_pretty(),
-        reference.results_json().to_pretty(),
-        "a torn-checkpoint resume must reproduce the uninterrupted report byte for byte"
-    );
-
-    // The seeded drill the chaos campaign ships wraps exactly this
-    // round trip; it must agree.
-    let drill_path = scratch_path("drill.jsonl");
-    let fragment = wp_bench::chaos::kill_resume_drill(0xD1BB, &drill_path).expect("drill");
-    assert_eq!(
-        fragment.get("byte_identical").and_then(wp_bench::Json::as_bool),
-        Some(true),
-        "{}",
-        fragment.to_compact()
-    );
+    // The resumed suite is byte-identical to an uninterrupted run.
+    let (reference, reference_suite) =
+        run(&Arc::new(Engine::with_workers(2)), &Store::new(scratch.join("reference")));
+    let _ = std::fs::remove_dir_all(&scratch);
+    assert!(reference.ok(), "failures: {:?}", reference.failures());
+    assert!(second_suite.is_some());
+    assert_eq!(second_suite, reference_suite, "resumed suite must match a clean run exactly");
 }
 
-/// Corrupt checkpoint lines (torn writes, wrong schema) are skipped:
-/// the run executes everything fresh and still completes.
+/// Torn-write recovery, for two seeds: the chaos drill kills a
+/// campaign-store run of a four-job suite at a seeded job, tears one
+/// entry the killed run published by a seeded number of bytes, and
+/// resumes against the same store. The intact entries must serve as
+/// hits (`jobs - 2` of them: the victim and the torn entry re-run) and
+/// the resumed suite must match an uninterrupted run byte for byte.
+/// Tolerance of corrupt entries in general is the store's own test
+/// (`truncated_entry_is_a_miss_and_recomputes` in wp-campaign).
 #[test]
-fn corrupt_checkpoint_lines_are_tolerated() {
-    let path = scratch_path("corrupt.jsonl");
-    std::fs::write(
-        &path,
-        "{\"key\":\"crc|truncated...\n\
-         not json at all\n\
-         {\"valid\":\"json\",\"but\":\"wrong schema\"}\n",
-    )
-    .expect("seed corrupt checkpoint");
-
-    let engine = Engine::with_workers(2);
-    let experiment = experiment([Benchmark::Crc]);
-    let report = engine.run_checkpointed(&experiment, &path);
-    assert!(report.is_complete(), "failures: {:?}", report.failures);
-    assert_eq!(report.stats.checkpoint_hits, 0, "no corrupt line may replay as a row");
-    assert_eq!(report.stats.jobs_ok, 2);
-    assert!(!path.exists(), "checkpoint removed after the complete run");
+fn torn_checkpoint_write_resumes_byte_identical() {
+    for seed in [0xD1BB_u64, 0x50AC] {
+        let scratch = scratch_dir(&format!("torn-{seed:x}"));
+        let fragment = kill_resume_drill(seed, &scratch);
+        let _ = std::fs::remove_dir_all(&scratch);
+        let fragment = fragment.unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+        let field = |name| fragment.get(name).and_then(Json::as_u64);
+        let jobs = field("jobs").expect("jobs");
+        assert_eq!(field("store_hits"), Some(jobs - 2), "{}", fragment.to_compact());
+        assert_eq!(
+            fragment.get("byte_identical").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            fragment.to_compact()
+        );
+        assert!(field("torn_bytes").is_some_and(|n| n > 0), "{}", fragment.to_compact());
+    }
 }

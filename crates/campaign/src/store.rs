@@ -81,7 +81,9 @@ impl Store {
         &self.root
     }
 
-    fn entry_path(&self, key: &TaskKey) -> PathBuf {
+    /// Where the entry for `key` lives (whether or not it exists).
+    #[must_use]
+    pub fn entry_path(&self, key: &TaskKey) -> PathBuf {
         let hex = key.hex();
         self.root.join("objects").join(&hex[..2]).join(hex)
     }

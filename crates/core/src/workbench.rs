@@ -35,8 +35,10 @@ pub enum CoreError {
         /// The panic payload, best-effort stringified.
         message: String,
     },
-    /// A host-side I/O failure (checkpoint files, manifests) — the one
-    /// error family that is genuinely transient and worth retrying.
+    /// A host-side I/O failure — the one error family that is
+    /// genuinely transient and worth retrying. No simulation phase
+    /// raises it; the harness injects it through its fault hooks to
+    /// exercise retry and the kill/resume drill.
     Io {
         /// What was being attempted.
         context: String,

@@ -13,10 +13,10 @@
 //! |-----------------|------------------|---------|
 //! | `WP_TRACE`      | [`trace_enabled`] | arm the wp-trace telemetry layer (span collector, fetch sinks) |
 //! | `WP_OBS`        | [`obs_enabled`]   | arm the wp-obs metrics registry + event journal in the engine |
-//! | `WP_BENCH_DIR`  | [`bench_dir`]     | directory for `BENCH_*.json` manifests and checkpoints (default: cwd) |
+//! | `WP_BENCH_DIR`  | [`bench_dir`]     | directory for `BENCH_*.json` manifests (default: cwd) |
 //! | `WP_QUICK`      | [`quick`]         | shrink long differential/soak sweeps to a quick subset |
 //! | `WP_PRINT_GOLDEN` | [`print_golden`] | print refreshed golden vectors instead of asserting them |
-//! | `WP_STORE_DIR`  | [`store_dir`]     | root of the wp-campaign content-addressed task store (unset: no store) |
+//! | `WP_STORE_DIR`  | [`store_dir`]     | root of the wp-campaign content-addressed task store (unset: tool-specific fallback) |
 //!
 //! Flag semantics are uniform: a flag is *on* when the variable is set
 //! to a non-empty value other than `"0"`. (`WP_TRACE=` and `WP_TRACE=0`
@@ -62,8 +62,8 @@ pub fn print_golden() -> bool {
     flag("WP_PRINT_GOLDEN")
 }
 
-/// `$WP_BENCH_DIR`: where `BENCH_*.json` manifests and engine
-/// checkpoints land. Defaults to the current directory.
+/// `$WP_BENCH_DIR`: where `BENCH_*.json` manifests land. Defaults to
+/// the current directory.
 #[must_use]
 pub fn bench_dir() -> PathBuf {
     warn_unknown();
@@ -71,10 +71,10 @@ pub fn bench_dir() -> PathBuf {
 }
 
 /// `$WP_STORE_DIR`: the root of the wp-campaign content-addressed
-/// task store. Unlike [`bench_dir`] there is no default: an unset
-/// variable means "no store", and store-aware tools (the campaign
-/// binary, the store-backed `gate` path) fall back to their
-/// store-less behaviour.
+/// task store. Unlike [`bench_dir`] there is no default here: each
+/// store-aware tool decides what an unset variable means (the
+/// campaign binary then requires `--store`, `gate` falls back to a
+/// scratch store it removes afterwards).
 #[must_use]
 pub fn store_dir() -> Option<PathBuf> {
     warn_unknown();
